@@ -142,5 +142,33 @@ fn bench_merges(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_local_reduce, bench_merges);
+/// Wordcount's fold and its one sort per ship, at wc-tcp's vocabulary: a
+/// `KeyedSum` over 2^18 keys (several MB of tables, past L2). The word
+/// stream and the folded object are built outside the timed closures.
+fn bench_keyed_fold(c: &mut Criterion) {
+    let mut g = c.benchmark_group("keyedsum_2^18_keys");
+    let mut rng = DetRng::new(5);
+    let words: Vec<u64> = (0..1 << 20).map(|_| rng.index(1 << 18) as u64).collect();
+    g.throughput(Throughput::Elements(words.len() as u64));
+    g.bench_function("fold_1Mi_words", |b| {
+        b.iter(|| {
+            let mut robj = KeyedSum::new();
+            for &w in &words {
+                robj.add(w, 1.0);
+            }
+            black_box(robj.len())
+        })
+    });
+    let mut folded = KeyedSum::new();
+    for &w in &words {
+        folded.add(w, 1.0);
+    }
+    g.throughput(Throughput::Elements(folded.len() as u64));
+    g.bench_function("iter_key_ascending", |b| {
+        b.iter(|| black_box(folded.iter().fold(0u64, |acc, (k, (_, n))| acc ^ k ^ n)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_local_reduce, bench_merges, bench_keyed_fold);
 criterion_main!(benches);

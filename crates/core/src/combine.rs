@@ -8,7 +8,8 @@
 //! verify the algebra over random inputs and splits.
 
 use crate::api::ReductionObject;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Element-wise sum of a fixed-length `f64` vector ("aggregation").
 ///
@@ -170,11 +171,90 @@ impl ReductionObject for MinMax {
 }
 
 /// Keyed aggregation: `key -> (sum, count)`. The generalized-reduction
-/// analogue of a word-count/`reduceByKey`; deterministic iteration order
-/// via `BTreeMap`.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// analogue of a word-count/`reduceByKey`.
+///
+/// Storage is hash-accumulated: 256 `HashMap`s under one folded-multiply
+/// hash, each key's partition picked by hash bits that the tables
+/// themselves do not use. Many small tables rather than one large one keep
+/// each table under the allocator's mmap threshold at wordcount
+/// vocabularies, so growing a table never frees a multi-MB block (which
+/// strands arena memory and inflates RSS). Only [`KeyedSum::iter`] orders
+/// the keys, by sorting a copy: the canonical wire encoding needs that
+/// order, and nothing else does.
+///
+/// The hash layout never changes a sum: per key, `add` folds in call
+/// order and `merge` adds `other`'s sum to ours, so a given sequence of
+/// folds and merges yields bit-identical results.
+#[derive(Clone, PartialEq)]
 pub struct KeyedSum {
-    entries: BTreeMap<u64, (f64, u64)>,
+    /// Always exactly `KEYED_PARTS` tables; key `k` lives in
+    /// `parts[part_of(k)]`.
+    parts: Vec<KeyedPart>,
+}
+
+/// Number of hash partitions in a [`KeyedSum`] (a fixed function of the
+/// key, not a tuning knob).
+const KEYED_PARTS: usize = 256;
+
+type KeyedPart = HashMap<u64, (f64, u64), BuildHasherDefault<FoldHasher>>;
+
+/// Multiplier and seed of [`key_hash`]: the first two 64-bit words of the
+/// fractional part of pi (arbitrary, odd, dense in set bits).
+const FOLD_MUL: u64 = 0x243f_6a88_85a3_08d3;
+const FOLD_SEED: u64 = 0x1319_8a2e_0370_7344;
+
+/// Folded-multiply hash of a `u64` key: the 128-bit product of the seeded
+/// key and an odd constant, its halves XORed together. The high half mixes
+/// every input bit into every output bit; the low half keeps low-bit
+/// entropy for the table index.
+#[inline]
+fn key_hash(key: u64) -> u64 {
+    let p = u128::from(key ^ FOLD_SEED) * u128::from(FOLD_MUL);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// A key's partition: hash bits 48..56. The std tables index buckets with
+/// the low bits and tag them with the top 7, so these bits stay free to
+/// spread keys within each table.
+#[inline]
+fn part_of(key: u64) -> usize {
+    (key_hash(key) >> 48) as usize % KEYED_PARTS
+}
+
+/// `Hasher` for [`KeyedSum`]'s tables: one [`key_hash`] per `u64` written.
+#[derive(Default, Clone, Copy)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = key_hash(self.0 ^ x);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for KeyedSum {
+    fn default() -> Self {
+        KeyedSum {
+            parts: (0..KEYED_PARTS).map(|_| KeyedPart::default()).collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for KeyedSum {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl KeyedSum {
@@ -182,33 +262,50 @@ impl KeyedSum {
         Self::default()
     }
 
+    /// An empty object with room for about `keys` distinct keys, spread
+    /// evenly over the partitions (decoders know the count up front).
+    pub fn with_capacity(keys: usize) -> Self {
+        let mut out = Self::new();
+        for part in &mut out.parts {
+            part.reserve(keys / KEYED_PARTS);
+        }
+        out
+    }
+
+    #[inline]
     pub fn add(&mut self, key: u64, value: f64) {
-        let e = self.entries.entry(key).or_insert((0.0, 0));
-        e.0 += value;
-        e.1 += 1;
+        self.insert_entry(key, value, 1);
     }
 
     pub fn get(&self, key: u64) -> Option<(f64, u64)> {
-        self.entries.get(&key).copied()
+        self.parts[part_of(key)].get(&key).copied()
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.parts.iter().map(HashMap::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.parts.iter().all(HashMap::is_empty)
     }
 
+    /// Every entry in ascending key order. This sorts a copy of the keys
+    /// and looks each one up again: call it once per result, not per unit.
     pub fn iter(&self) -> impl Iterator<Item = (u64, (f64, u64))> + '_ {
-        self.entries.iter().map(|(&k, &v)| (k, v))
+        let mut keys: Vec<u64> = Vec::with_capacity(self.len());
+        for part in &self.parts {
+            keys.extend(part.keys());
+        }
+        keys.sort_unstable();
+        keys.into_iter().map(|k| (k, self.parts[part_of(k)][&k]))
     }
 
     /// Reconstruct an entry verbatim — `(sum, count)` as stored, not one
     /// observation like [`KeyedSum::add`]. Merges with any existing entry.
     /// This is how wire codecs rebuild a shipped object exactly.
+    #[inline]
     pub fn insert_entry(&mut self, key: u64, sum: f64, count: u64) {
-        let e = self.entries.entry(key).or_insert((0.0, 0));
+        let e = self.parts[part_of(key)].entry(key).or_insert((0.0, 0));
         e.0 += sum;
         e.1 += count;
     }
@@ -216,14 +313,12 @@ impl KeyedSum {
 
 impl ReductionObject for KeyedSum {
     fn merge(&mut self, other: Self) {
-        for (k, (s, c)) in other.entries {
-            let e = self.entries.entry(k).or_insert((0.0, 0));
-            e.0 += s;
-            e.1 += c;
+        for (k, (s, c)) in other.parts.into_iter().flatten() {
+            self.insert_entry(k, s, c);
         }
     }
     fn size_bytes(&self) -> usize {
-        self.entries.len() * (8 + 8 + 8)
+        self.len() * (8 + 8 + 8)
     }
 }
 
@@ -586,6 +681,35 @@ mod tests {
         assert_eq!(a.get(2), Some((5.0, 1)));
         assert_eq!(a.get(3), Some((7.0, 1)));
         assert_eq!(a.len(), 3);
+    }
+
+    #[test]
+    fn keyedsum_partitions_stay_balanced_on_strided_keys() {
+        for stride in [1u64, 1 << 20, 1 << 40] {
+            let mut per_part = [0usize; KEYED_PARTS];
+            for i in 0..4096u64 {
+                per_part[part_of(i.wrapping_mul(stride))] += 1;
+            }
+            let mean = 4096 / KEYED_PARTS;
+            let max = *per_part.iter().max().unwrap();
+            assert!(
+                max <= 4 * mean,
+                "stride {stride}: a partition holds {max} keys, mean {mean}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyedsum_debug_lists_keys_in_order() {
+        let mut k = KeyedSum::new();
+        for key in [u64::MAX, 7, 1 << 40, 0, 7, 3 << 20] {
+            k.add(key, 1.0);
+        }
+        assert_eq!(
+            format!("{k:?}"),
+            "{0: (1.0, 1), 7: (2.0, 2), 3145728: (1.0, 1), 1099511627776: (1.0, 1), \
+             18446744073709551615: (1.0, 1)}"
+        );
     }
 
     #[test]

@@ -312,13 +312,15 @@ impl RecordingSink {
 
 impl EventSink for RecordingSink {
     fn emit(&self, cluster: Option<u32>, slave: Option<u32>, kind: EventKind) {
-        let rec = EventRecord {
+        // Stamp under the lock: a clock read before it would let two
+        // emitting threads push their records out of timestamp order.
+        let mut events = self.events.lock();
+        events.push(EventRecord {
             t_ns: self.now_ns(),
             cluster,
             slave,
             kind,
-        };
-        self.events.lock().push(rec);
+        });
     }
 }
 

@@ -68,8 +68,8 @@ enum FromPeer {
         msg: Message,
         bytes: usize,
     },
-    /// The connection died (EOF or I/O error). Benign after a clean
-    /// `Goodbye`; peer loss otherwise.
+    /// The connection died (EOF or I/O error). Benign once the peer
+    /// shipped; peer loss otherwise.
     Gone { peer: usize, error: String },
 }
 
@@ -79,8 +79,6 @@ struct PeerState {
     last_seen: Instant,
     /// Banked result: encoded robj + final report + arrival instant.
     shipped: Option<(Vec<u8>, WireClusterReport, Instant)>,
-    /// Sent `Goodbye` (its reader exiting is then expected, not a loss).
-    said_goodbye: bool,
     lost: bool,
 }
 
@@ -353,14 +351,16 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
             spec: p.spec,
             last_seen: Instant::now(),
             shipped: None,
-            said_goodbye: false,
             lost: false,
         });
         rxs.push((i, p.rx));
     }
 
     let run_error: Option<String> = std::thread::scope(|scope| {
-        // --- Per-peer readers: frames → central channel. ---
+        // --- Per-peer readers: frames → central channel. A reader returns
+        // right after forwarding its peer's `RobjShip` (nothing after it
+        // matters to the head), so the scope join at the last ship is
+        // immediate; only a lost peer's reader waits out a poll. ---
         for (peer, mut rx) in rxs {
             let event_tx = event_tx.clone();
             let done = &done;
@@ -371,9 +371,9 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
                 match rx.recv(Duration::from_millis(100)) {
                     Ok(None) => {}
                     Ok(Some((msg, bytes))) => {
-                        let goodbye = matches!(msg, Message::Goodbye);
+                        let last = matches!(msg, Message::RobjShip { .. } | Message::Goodbye);
                         let _ = event_tx.send(FromPeer::Frame { peer, msg, bytes });
-                        if goodbye {
+                        if last {
                             return;
                         }
                     }
@@ -472,7 +472,6 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
         }
         done.store(true, Ordering::Relaxed);
         first_error
-        // Scope joins the readers: ≤100 ms after the done flag.
     });
 
     // The run fails only if some chunk could not complete anywhere.
@@ -494,20 +493,21 @@ pub fn run_head<R: ReductionObject + RobjCodec>(
         let Some((bytes, _, at)) = &s.shipped else {
             continue;
         };
+        let t = Instant::now();
         let robj = R::decode_robj(bytes)
             .map_err(|e| RuntimeError::Io(format!("decoding robj from {}: {e}", s.spec.name)))?;
+        match final_robj.as_mut() {
+            None => final_robj = Some(robj),
+            Some(acc) => acc.merge(robj),
+        }
         cfg.sink.emit(
             Some(s.spec.cluster),
             None,
             EventKind::RobjMerge {
                 bytes: bytes.len() as u64,
-                ns: 0,
+                ns: t.elapsed().as_nanos() as u64,
             },
         );
-        match final_robj.as_mut() {
-            None => final_robj = Some(robj),
-            Some(acc) => acc.merge(robj),
-        }
         last_ship = Some(last_ship.map_or(*at, |l| l.max(*at)));
     }
     let final_robj = final_robj
@@ -647,9 +647,7 @@ fn handle_frame(
             states[peer].shipped = Some((robj, report, Instant::now()));
             send_counted(&mut txs[peer], &Message::ShipAck, cluster, cfg, net_stats);
         }
-        Message::Goodbye => {
-            states[peer].said_goodbye = true;
-        }
+        Message::Goodbye => {}
         other => {
             first_error.get_or_insert(format!(
                 "peer {} sent unexpected {other:?}",

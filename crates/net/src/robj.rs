@@ -5,8 +5,8 @@
 //! and deployment must produce identical final reduction-object bytes. That
 //! only holds if the encoding is canonical — independent of the arrival
 //! order that built the object. So [`Concat`] sorts before encoding and
-//! [`TopK`] sorts its kept set; [`KeyedSum`] iterates its `BTreeMap`, which
-//! is already canonical. Floats travel as IEEE-754 bit patterns
+//! [`TopK`] sorts its kept set; [`KeyedSum`] lists its entries through
+//! `iter`, which sorts them by key. Floats travel as IEEE-754 bit patterns
 //! (`f64::to_bits`), never through text, so the round trip is exact.
 
 use crate::wire::{WireError, WireReader, WireWriter};
@@ -62,9 +62,10 @@ impl RobjCodec for VecSum {
 
 impl RobjCodec for KeyedSum {
     fn encode_robj(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_u32(self.len() as u32);
-        // BTreeMap iteration is key-sorted: canonical for free.
+        let n = self.len();
+        let mut w = WireWriter::with_capacity(4 + 24 * n);
+        w.put_u32(n as u32);
+        // `iter` is key-ascending whatever the hash layout: canonical.
         for (key, (sum, count)) in self.iter() {
             w.put_u64(key);
             w.put_f64(sum);
@@ -76,7 +77,9 @@ impl RobjCodec for KeyedSum {
     fn decode_robj(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
         let n = r.u32()? as usize;
-        let mut out = KeyedSum::new();
+        // Reserve for the entries the bytes can actually hold (24 each), so
+        // a corrupt count cannot force a huge allocation.
+        let mut out = KeyedSum::with_capacity(n.min(bytes.len() / 24));
         for _ in 0..n {
             let key = r.u64()?;
             let sum = r.f64()?;

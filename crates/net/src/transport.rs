@@ -121,6 +121,13 @@ impl LinkRx {
                     buf.drain(..used);
                     return Ok(Some((msg, used)));
                 }
+                // The prefix (already checked against the cap) gives the
+                // frame's size: reserve it once rather than doubling the
+                // buffer through a megabyte frame's reads.
+                Ok(None) if buf.len() >= 4 => {
+                    let frame = 4 + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+                    buf.reserve_exact(frame.saturating_sub(buf.len()));
+                }
                 Ok(None) => {}
                 Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
             }

@@ -182,6 +182,14 @@ impl WireWriter {
         Self::default()
     }
 
+    /// A writer whose buffer holds `bytes` without reallocating (payloads
+    /// of known size skip the grow-and-copy steps).
+    pub fn with_capacity(bytes: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -358,7 +366,24 @@ fn get_report(r: &mut WireReader<'_>) -> Result<WireClusterReport, WireError> {
 impl Message {
     /// Encode the payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.encoded_len_hint());
+        self.encode_into(&mut w);
+        w.into_payload()
+    }
+
+    /// Payload size, exact for a `RobjShip` (the one message that can be
+    /// megabytes) and a small guess for the rest.
+    fn encoded_len_hint(&self) -> usize {
+        match self {
+            Message::RobjShip { robj, report } => {
+                let error = report.error.as_ref().map_or(0, |e| 4 + e.len());
+                1 + 4 + robj.len() + 4 + 64 * report.slaves.len() + 40 + 1 + error
+            }
+            _ => 64,
+        }
+    }
+
+    fn encode_into(&self, w: &mut WireWriter) {
         match self {
             Message::Hello {
                 version,
@@ -428,12 +453,11 @@ impl Message {
             Message::RobjShip { robj, report } => {
                 w.put_u8(TAG_ROBJ_SHIP);
                 w.put_bytes(robj);
-                put_report(&mut w, report);
+                put_report(w, report);
             }
             Message::ShipAck => w.put_u8(TAG_SHIP_ACK),
             Message::Goodbye => w.put_u8(TAG_GOODBYE),
         }
-        w.into_payload()
     }
 
     /// Decode a payload (no length prefix). Rejects trailing bytes.
@@ -509,13 +533,17 @@ impl Message {
     /// large to ship") instead of a confusing peer loss. The cap also
     /// guards the `u32` length prefix (`MAX_FRAME_BYTES` < `u32::MAX`).
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
-        let payload = self.encode();
-        if payload.len() > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooLarge(payload.len()));
+        // One buffer: a placeholder prefix, the payload, then the prefix
+        // patched in (a ship is not copied a second time).
+        let mut w = WireWriter::with_capacity(4 + self.encoded_len_hint());
+        w.put_u32(0);
+        self.encode_into(&mut w);
+        let mut frame = w.into_payload();
+        let len = frame.len() - 4;
+        if len > MAX_FRAME_BYTES {
+            return Err(WireError::FrameTooLarge(len));
         }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
         Ok(frame)
     }
 }
@@ -551,6 +579,22 @@ mod tests {
         let (back, used) = decode_framed(&frame).unwrap().unwrap();
         assert_eq!(back, m);
         assert_eq!(used, frame.len());
+    }
+
+    #[test]
+    fn robj_ship_size_hint_is_exact() {
+        for error in [None, Some("slave 1 retired".to_string())] {
+            let m = Message::RobjShip {
+                robj: vec![7u8; 1000],
+                report: WireClusterReport {
+                    slaves: vec![WireSlaveStats::default(); 3],
+                    error,
+                    ..WireClusterReport::default()
+                },
+            };
+            assert_eq!(m.encoded_len_hint(), m.encode().len());
+            assert_eq!(m.encode_frame().unwrap().capacity(), 4 + m.encode().len());
+        }
     }
 
     #[test]

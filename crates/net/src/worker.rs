@@ -301,8 +301,10 @@ where
                                     return;
                                 }
                             }
+                            // The ack is the last frame the head sends.
                             Message::ShipAck => {
                                 let _ = ack_tx.send(());
+                                return;
                             }
                             // Anything else mid-run is noise; the head never
                             // initiates other traffic after Welcome.
@@ -314,18 +316,18 @@ where
             }
         });
 
-        // --- Heartbeats at half the announced cadence. A poisoned link
-        // stops beating on purpose: the head must declare this worker
-        // lost and forfeit its leases. ---
+        // --- Heartbeats at half the announced cadence, until `stop_tx`
+        // drops (which wakes the wait at once). A poisoned link stops
+        // beating on purpose: the head must declare this worker lost and
+        // forfeit its leases. ---
+        let (stop_tx, stop_rx) = unbounded::<()>();
         let hb_tx = Arc::clone(&tx);
-        let hb_done = &done;
         let hb_poisoned = Arc::clone(&poisoned);
         let hb_interval = (heartbeat / 2).max(Duration::from_millis(10));
         scope.spawn(move || {
             let mut seq = 0u64;
-            while !hb_done.load(Ordering::Relaxed) {
-                std::thread::sleep(hb_interval);
-                if hb_done.load(Ordering::Relaxed) || hb_poisoned.load(Ordering::Relaxed) {
+            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(hb_interval) {
+                if hb_poisoned.load(Ordering::Relaxed) {
                     return;
                 }
                 seq += 1;
@@ -352,6 +354,7 @@ where
         // --- Ship the result, then let the background threads go. ---
         let shipped = ship(&outcome, t0, &retry_counter, &port, &ack_rx, net);
         done.store(true, Ordering::Relaxed);
+        drop(stop_tx);
         (outcome, shipped)
     });
 

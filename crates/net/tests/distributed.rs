@@ -192,6 +192,79 @@ proptest! {
     }
 }
 
+/// Both ends tear down as soon as the last robj lands: the head's readers
+/// return right after their peer's `RobjShip` (not after a receive poll),
+/// and each worker's reader returns at `ShipAck` while its heartbeat thread
+/// wakes at once instead of finishing a sleep. The heartbeat is stretched
+/// to 2 s, so a sleeping heartbeat thread would hold a worker ~1 s.
+#[test]
+fn teardown_is_prompt_after_the_last_ship() {
+    let spec = WordsSpec {
+        vocabulary: 40,
+        n_files: 2,
+        words_per_file: 800,
+        words_per_chunk: 400,
+        seed: 5,
+    };
+    let env = env_for(&spec, 0.5, 1, 1);
+    let cfg = RuntimeConfig::default();
+    let net = NetConfig {
+        heartbeat: Duration::from_secs(2),
+        ..NetConfig::default()
+    };
+    let fp = fingerprint(&env.layout, &env.placement, APP);
+    let (out, worker_s) = std::thread::scope(|scope| {
+        let mut peers = Vec::new();
+        let mut workers = Vec::new();
+        for (ci, cluster) in env.deployment.clusters.iter().enumerate() {
+            let (head_end, worker_end) = loopback_pair();
+            let (net, cfg) = (&net, &cfg);
+            let (layout, placement, fabric) = (&env.layout, &env.placement, &env.deployment.fabric);
+            workers.push(scope.spawn(move || {
+                let wspec = WorkerSpec {
+                    cluster: ci as u32,
+                    name: cluster.name.clone(),
+                    app_tag: APP.into(),
+                    fingerprint: fp,
+                };
+                let t = std::time::Instant::now();
+                run_worker_on_links(
+                    &WordCountApp,
+                    &(),
+                    layout,
+                    placement,
+                    fabric,
+                    cluster,
+                    &wspec,
+                    cfg,
+                    net,
+                    worker_end.tx,
+                    worker_end.rx,
+                )
+                .expect("worker over loopback");
+                t.elapsed().as_secs_f64()
+            }));
+            peers.push(
+                handshake_one(head_end.tx, head_end.rx, &peers, net, fp, APP)
+                    .expect("loopback handshake"),
+            );
+        }
+        let out = run_head::<KeyedSum>(peers, &env.layout, &env.placement, &cfg, &net)
+            .expect("head over loopback");
+        let worker_s: Vec<f64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        (out, worker_s)
+    });
+    assert_eq!(out.result.encode_robj(), single_process_bytes(&env, &cfg));
+    assert!(
+        out.report.global_reduction_s < 0.05,
+        "head spent {:.3} s after the last ship",
+        out.report.global_reduction_s
+    );
+    for s in worker_s {
+        assert!(s < 0.5, "a worker took {s:.3} s to return");
+    }
+}
+
 /// A worker that goes silent (socket open, no heartbeats, never ships) is
 /// declared lost; the completions it reported are forfeited and re-run by
 /// the surviving worker, and the final result is still exactly right.
