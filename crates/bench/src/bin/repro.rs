@@ -264,6 +264,10 @@ fn write_json(dir: &std::path::Path, what: &str, net: &NetConstants) {
         let rows = experiments::ablate_failures(net, DEFAULT_SEED);
         write("ablate-failures", serde_json::to_value(&rows).unwrap());
     }
+    if run("seeds") {
+        let rows = experiments::seed_sensitivity(App::Knn, net, 5);
+        write("seeds", serde_json::to_value(&rows).unwrap());
+    }
 }
 
 fn banner(title: &str) {
@@ -670,13 +674,13 @@ fn print_seed_spread(net: &NetConstants) {
 
 fn print_timeline(net: &NetConstants) {
     banner("timeline — per-slave activity, knn env-33/67 (█ process, ▒ fetch, ◆ robj)");
-    let (report, trace) = experiments::run_timeline(App::Knn, net, DEFAULT_SEED);
-    print!("{}", trace.render_gantt(100));
+    let (report, timeline) = experiments::run_timeline(App::Knn, net, DEFAULT_SEED);
+    print!("{}", timeline.render_gantt(100));
     for (ci, c) in report.clusters.iter().enumerate() {
         println!(
             "{:<6} mean slave utilization {:.1}%",
             c.name,
-            trace.cluster_utilization(ci) * 100.0
+            timeline.cluster_utilization(ci as u32) * 100.0
         );
     }
 }

@@ -5,7 +5,7 @@
 use super::CmdError;
 use crate::args::Args;
 use cb_sim::calib::{self, App, NetConstants};
-use cb_sim::model::{simulate, simulate_observed, simulate_traced};
+use cb_sim::model::{simulate, simulate_observed};
 use cb_sim::params::SimParams;
 use cloudburst_core::obs;
 use serde::Deserialize;
@@ -25,18 +25,16 @@ fn render_sim(
     trace_out: Option<&str>,
 ) -> Result<String, CmdError> {
     let mut s = String::new();
-    if let Some(path) = trace_out {
-        let (report, trace, events) = simulate_observed(params).map_err(CmdError::Other)?;
+    if timeline || trace_out.is_some() {
+        let (report, events) = simulate_observed(params).map_err(CmdError::Other)?;
         let _ = write!(s, "{}", report.render());
         if timeline {
-            let _ = write!(s, "{}", trace.render_gantt(100));
+            s.push_str(&obs::Timeline::from_events(&events).render_gantt(100));
         }
-        std::fs::write(path, obs::encode_jsonl(&events))?;
-        let _ = writeln!(s, "trace: {} events -> {path}", events.len());
-    } else if timeline {
-        let (report, trace) = simulate_traced(params).map_err(CmdError::Other)?;
-        let _ = write!(s, "{}", report.render());
-        let _ = write!(s, "{}", trace.render_gantt(100));
+        if let Some(path) = trace_out {
+            std::fs::write(path, obs::encode_jsonl(&events))?;
+            let _ = writeln!(s, "trace: {} events -> {path}", events.len());
+        }
     } else {
         let report = simulate(params).map_err(CmdError::Other)?;
         let _ = write!(s, "{}", report.render());

@@ -49,10 +49,6 @@ impl VecSum {
         &self.values
     }
 
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     pub fn len(&self) -> usize {
         self.values.len()
     }
@@ -840,6 +836,11 @@ mod tests {
         // Empty-side identities.
         a.merge(Moments::new());
         assert_eq!(a.count(), 200);
+        let mut empty = Moments::new();
+        assert_eq!((empty.mean(), empty.variance()), (0.0, 0.0));
+        empty.merge(a);
+        assert_eq!(empty.count(), 200);
+        assert_eq!(empty.mean().to_bits(), a.mean().to_bits());
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! * [`encode_jsonl`] / [`decode_jsonl`] — the versioned JSONL trace
 //!   format written by `cloudburst run --trace-out` (schema documented in
 //!   `docs/OBSERVABILITY.md`).
-//! * [`Timeline`] — the shared Gantt renderer: live runs and simulated
-//!   runs render with the same glyphs ([`GANTT_LEGEND`]).
+//! * [`Timeline`] — the one Gantt renderer: live and simulated runs both
+//!   build it from their event stream and render with the same glyphs
+//!   ([`GANTT_LEGEND`]).
 //! * [`TraceSummary`] / [`MetricsRegistry`] — counters and histograms
 //!   folded from the stream.
 //!
@@ -642,8 +643,8 @@ pub fn check_invariants(events: &[EventRecord]) -> Result<(), String> {
 // Timeline (the shared Gantt renderer)
 // ---------------------------------------------------------------------------
 
-/// What a slave was doing during a [`TimelineSpan`]. Glyphs are shared
-/// with the simulator's trace ([`GANTT_LEGEND`]).
+/// What a slave was doing during a [`TimelineSpan`]. Glyphs are listed in
+/// [`GANTT_LEGEND`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     Fetch,
@@ -674,8 +675,9 @@ pub struct TimelineSpan {
     pub end_ns: u64,
 }
 
-/// Per-slave activity spans reconstructed from an event stream; renders
-/// the same textual Gantt chart as the simulator's `Trace`.
+/// Per-slave activity spans reconstructed from an event stream, the
+/// runtime's wall-clock one or the simulator's virtual-time one; renders
+/// as a textual Gantt chart.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     pub spans: Vec<TimelineSpan>,
@@ -762,7 +764,8 @@ impl Timeline {
 
     /// Render the textual Gantt chart: one row per (cluster, slave),
     /// `width` columns spanning the run, later spans overwriting earlier
-    /// ones in a cell — identical conventions to the simulator's trace.
+    /// ones in a cell. A span is recorded at the event that closes it, so a
+    /// `process` span paints over a prefetch `fetch` that overlaps it.
     pub fn render_gantt(&self, width: usize) -> String {
         assert!(width > 0);
         let horizon = (self.horizon_ns as f64).max(1.0);
@@ -1421,7 +1424,7 @@ mod tests {
                 },
             ),
         ];
-        let tl = Timeline::from_events(&events);
+        let mut tl = Timeline::from_events(&events);
         assert_eq!(tl.spans.len(), 3);
         assert_eq!(tl.horizon_ns, 10_000_000_000);
         assert!((tl.utilization(0, 0) - 0.6).abs() < 1e-12);
@@ -1431,6 +1434,19 @@ mod tests {
         assert!(g.contains("c0/s0"));
         let row1 = g.lines().find(|l| l.starts_with("c1/s0")).unwrap();
         assert_eq!(row1.matches('█').count(), 20, "fully busy row");
+
+        tl.record(0, 1, SpanKind::Process, 0, 3_000_000_000);
+        tl.record(2, 0, SpanKind::RobjTransfer, 6_000_000_000, 10_000_000_000);
+        assert_eq!(tl.horizon_ns, 10_000_000_000);
+        assert!((tl.utilization(0, 1) - 0.3).abs() < 1e-12);
+        // Shipping the robj is not busy slave work.
+        assert_eq!(tl.utilization(2, 0), 0.0);
+        // A cluster's utilization is the mean over its slaves.
+        assert!((tl.cluster_utilization(0) - 0.45).abs() < 1e-12);
+
+        let empty = Timeline::default();
+        assert_eq!(empty.utilization(0, 0), 0.0);
+        assert_eq!(empty.cluster_utilization(0), 0.0);
     }
 
     #[test]

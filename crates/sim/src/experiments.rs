@@ -5,8 +5,9 @@
 //! virtual time — a full figure is milliseconds of wall clock.
 
 use crate::calib::{self, App, NetConstants};
-use crate::model::{simulate, simulate_traced};
-use crate::trace::Trace;
+use crate::model::{simulate, simulate_observed};
+use cloudburst_core::combine::Moments;
+use cloudburst_core::obs::Timeline;
 use cloudburst_core::report::RunReport;
 use serde::Serialize;
 
@@ -616,17 +617,21 @@ pub fn seed_sensitivity(app: App, net: &NetConstants, n_seeds: u64) -> Vec<SeedS
     calib::fig3_envs(app)
         .iter()
         .map(|env| {
-            let mut stats = cb_simnet::Summary::new();
+            let mut moments = Moments::new();
+            let (mut min_s, mut max_s) = (f64::INFINITY, f64::NEG_INFINITY);
             for seed in 0..n_seeds {
                 let params = calib::build_params(app, env, net, DEFAULT_SEED + seed);
-                stats.record(simulate(params).expect("seed run").total_s);
+                let total_s = simulate(params).expect("seed run").total_s;
+                moments.observe(total_s);
+                min_s = min_s.min(total_s);
+                max_s = max_s.max(total_s);
             }
             SeedSpreadRow {
                 env: env.name.clone(),
-                min_s: stats.min(),
-                mean_s: stats.mean(),
-                max_s: stats.max(),
-                cv_pct: 100.0 * stats.std_dev() / stats.mean(),
+                min_s,
+                mean_s: moments.mean(),
+                max_s,
+                cv_pct: 100.0 * moments.variance().sqrt() / moments.mean(),
             }
         })
         .collect()
@@ -672,12 +677,14 @@ pub fn sweep_robj(net: &NetConstants, seed: u64) -> Vec<RobjSweepRow> {
         .collect()
 }
 
-/// A traced run of one hybrid environment, for timeline rendering: returns
-/// the report, the trace, and per-cluster utilizations.
-pub fn run_timeline(app: App, net: &NetConstants, seed: u64) -> (RunReport, Trace) {
+/// An observed run of one hybrid environment, for timeline rendering:
+/// returns the report and the per-slave [`Timeline`] built from the run's
+/// event stream.
+pub fn run_timeline(app: App, net: &NetConstants, seed: u64) -> (RunReport, Timeline) {
     let env = &calib::fig3_envs(app)[3]; // env-33/67: both stealing and idle
     let params = calib::build_params(app, env, net, seed);
-    simulate_traced(params).expect("traced simulation failed")
+    let (report, events) = simulate_observed(params).expect("observed simulation failed");
+    (report, Timeline::from_events(&events))
 }
 
 #[cfg(test)]
@@ -832,15 +839,49 @@ mod extension_tests {
 
     #[test]
     fn timeline_shows_busy_slaves() {
-        let (report, trace) = run_timeline(App::Knn, &NetConstants::default(), DEFAULT_SEED);
+        let (report, timeline) = run_timeline(App::Knn, &NetConstants::default(), DEFAULT_SEED);
         assert_eq!(report.total_jobs(), 960);
-        assert!(!trace.spans.is_empty());
+        assert!(!timeline.spans.is_empty());
         // Pool balancing keeps every cluster quite busy.
         for (ci, c) in report.clusters.iter().enumerate() {
-            let u = trace.cluster_utilization(ci);
+            let u = timeline.cluster_utilization(ci as u32);
             assert!(u > 0.7, "cluster {} utilization only {u:.2}", c.name);
         }
-        let gantt = trace.render_gantt(80);
+        let gantt = timeline.render_gantt(80);
         assert!(gantt.lines().count() >= 33, "one row per slave plus header");
+    }
+
+    /// The timeline built from the event stream and the report's per-cluster
+    /// breakdown are two views of one run: a cluster's busy time on the
+    /// timeline is its report `processing_s + retrieval_s`.
+    #[test]
+    fn timeline_busy_time_matches_report() {
+        let net = NetConstants::default();
+        for app in App::ALL {
+            for env in calib::fig3_envs(app) {
+                for prefetch_depth in [0, 1] {
+                    for fault_rate in [0.0, 0.05] {
+                        let mut params = calib::build_params(app, &env, &net, DEFAULT_SEED);
+                        params.prefetch_depth = prefetch_depth;
+                        params.faults.fetch_failure_prob = fault_rate;
+                        let (report, events) = simulate_observed(params).unwrap();
+                        let timeline = Timeline::from_events(&events);
+                        let horizon_s = timeline.horizon_ns as f64 / 1e9;
+                        for (ci, c) in report.clusters.iter().enumerate() {
+                            let busy_s = timeline.cluster_utilization(ci as u32) * horizon_s;
+                            let want_s = c.processing_s + c.retrieval_s;
+                            assert!(
+                                (busy_s - want_s).abs() <= 1e-9 * want_s,
+                                "{} {} {} depth {prefetch_depth} faults {fault_rate}: \
+                                 timeline busy {busy_s} s, report {want_s} s",
+                                app.name(),
+                                env.name,
+                                c.name,
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

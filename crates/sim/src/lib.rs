@@ -13,8 +13,6 @@ pub mod calib;
 pub mod experiments;
 pub mod model;
 pub mod params;
-pub mod trace;
 
-pub use model::{simulate, simulate_observed, simulate_traced};
+pub use model::{simulate, simulate_observed};
 pub use params::{LinkSpec, PathSpec, SimCluster, SimParams};
-pub use trace::{Span, SpanKind, Trace};

@@ -21,7 +21,6 @@
 //! event sequence (and every RNG draw) is identical to the serial model.
 
 use crate::params::SimParams;
-use crate::trace::{SpanKind, Trace};
 use cb_simnet::engine::{Ctx, Engine, World};
 use cb_simnet::link::FairShareLink;
 use cb_simnet::rng::DetRng;
@@ -157,8 +156,6 @@ struct SimWorld {
     last_local_done: SimTime,
     /// Injected-failure accounting, mirroring the runtime's report.
     recovery: RecoveryStats,
-    /// Activity spans, when tracing is enabled.
-    trace: Option<Trace>,
     /// Observability sink; disabled unless [`simulate_observed`] is used.
     /// Emits the same event kinds as the real runtime, stamped with
     /// *virtual* time via `clock`.
@@ -171,7 +168,7 @@ struct SimWorld {
 }
 
 impl SimWorld {
-    fn new(params: SimParams, with_trace: bool, observe: bool) -> Self {
+    fn new(params: SimParams, observe: bool) -> Self {
         let (sink, clock, recorder) = if observe {
             let clock = Arc::new(AtomicU64::new(0));
             let rec = RecordingSink::with_clock(Arc::clone(&clock));
@@ -232,7 +229,6 @@ impl SimWorld {
             final_done: None,
             last_local_done: SimTime::ZERO,
             recovery: RecoveryStats::default(),
-            trace: with_trace.then(Trace::default),
             sink,
             clock,
             recorder,
@@ -398,12 +394,6 @@ impl SimWorld {
                 chunk: ready.job.0 as u64,
             },
         );
-        if let Some(tr) = self.trace.as_mut() {
-            if !stalled.is_zero() {
-                tr.record(c, s, SpanKind::Stall, now - stalled, now);
-            }
-            tr.record(c, s, SpanKind::Process, now, now + proc);
-        }
         ctx.schedule_after(
             proc,
             Ev::ProcessDone {
@@ -575,9 +565,6 @@ impl SimWorld {
 
     fn handle_robj_arrive(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         assert!(!self.clusters[c].robj_arrived, "robj delivered twice");
-        if let (Some(tr), Some(sent)) = (self.trace.as_mut(), self.clusters[c].robj_sent_at) {
-            tr.record(c, 0, SpanKind::RobjTransfer, sent, ctx.now());
-        }
         let ship_ns = self.clusters[c]
             .robj_sent_at
             .map(|sent| ctx.now().saturating_since(sent).as_nanos())
@@ -728,9 +715,6 @@ impl World for SimWorld {
                             let fetch_ns = ctx.now().saturating_since(started).as_nanos();
                             let st = &mut self.clusters[c].slaves[s];
                             st.busy_fetch += ctx.now() - started;
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.record(c, s, SpanKind::Fetch, started, ctx.now());
-                            }
                             if failed {
                                 self.recovery.fetch_failures += 1;
                                 // The injected fault and its terminal
@@ -768,11 +752,6 @@ impl World for SimWorld {
                                             ns: stalled.as_nanos(),
                                         },
                                     );
-                                    if let Some(tr) = self.trace.as_mut() {
-                                        if !stalled.is_zero() {
-                                            tr.record(c, s, SpanKind::Stall, now - stalled, now);
-                                        }
-                                    }
                                 }
                                 let retire = self.clusters[c].slaves[s].consecutive_failures
                                     >= self.params.faults.slave_failure_threshold;
@@ -879,33 +858,25 @@ impl World for SimWorld {
 /// Run the simulation to completion and produce the same report schema as
 /// the real runtime.
 pub fn simulate(params: SimParams) -> Result<RunReport, String> {
-    simulate_inner(params, false, false).map(|(r, _, _)| r)
+    simulate_inner(params, false).map(|(r, _)| r)
 }
 
-/// Like [`simulate`], but also record an activity [`Trace`] (per-slave
-/// fetch/process/robj spans) for timeline rendering and utilization checks.
-pub fn simulate_traced(params: SimParams) -> Result<(RunReport, Trace), String> {
-    simulate_inner(params, true, false).map(|(r, t, _)| (r, t.expect("tracing was enabled")))
-}
-
-/// Like [`simulate_traced`], but additionally record the full structured
-/// event stream — the same [`EventKind`]s the real runtime emits, stamped
-/// with *virtual* nanoseconds — so simulated and real traces can be diffed
-/// event by event (and written to the same JSONL schema by
-/// `simulate --trace-out`).
-pub fn simulate_observed(
-    params: SimParams,
-) -> Result<(RunReport, Trace, Vec<EventRecord>), String> {
-    simulate_inner(params, true, true).map(|(r, t, e)| (r, t.expect("tracing was enabled"), e))
+/// Like [`simulate`], but also record the full structured event stream —
+/// the same [`EventKind`]s the real runtime emits, stamped with *virtual*
+/// nanoseconds. It is the only record of a simulated run: simulated and
+/// real traces diff event by event, share the JSONL schema of
+/// `simulate --trace-out`, and render as a Gantt chart through
+/// [`Timeline::from_events`](cloudburst_core::obs::Timeline::from_events).
+pub fn simulate_observed(params: SimParams) -> Result<(RunReport, Vec<EventRecord>), String> {
+    simulate_inner(params, true)
 }
 
 fn simulate_inner(
     params: SimParams,
-    with_trace: bool,
     observe: bool,
-) -> Result<(RunReport, Option<Trace>, Vec<EventRecord>), String> {
+) -> Result<(RunReport, Vec<EventRecord>), String> {
     params.validate()?;
-    let mut engine = Engine::new(SimWorld::new(params, with_trace, observe));
+    let mut engine = Engine::new(SimWorld::new(params, observe));
     engine.schedule(SimTime::ZERO, Ev::Boot);
     // 960 jobs × ~5 events plus link wakeups: 10M is a generous livelock
     // guard, not a tuning knob.
@@ -992,7 +963,7 @@ fn simulate_inner(
         net: Default::default(),
     };
     let events = world.recorder.map(|r| r.take()).unwrap_or_default();
-    Ok((report, world.trace, events))
+    Ok((report, events))
 }
 
 #[cfg(test)]

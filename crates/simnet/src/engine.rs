@@ -119,11 +119,6 @@ impl<W: World> Engine<W> {
         &self.world
     }
 
-    /// Mutable access to the model (for setup between phases).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consume the engine, returning the final world state.
     pub fn into_world(self) -> W {
         self.world

@@ -11,7 +11,7 @@
 //! * A **wall-clock throttle** ([`Throttle`]) so the *real* in-process
 //!   runtime can present genuinely slow "remote" stores to its worker
 //!   threads.
-//! * Seeded randomness ([`DetRng`]) and streaming statistics ([`Summary`]).
+//! * Seeded randomness ([`DetRng`]).
 //!
 //! Nothing in this crate knows about Map-Reduce, jobs, or clusters; it is a
 //! general-purpose DES toolkit kept deliberately small and fully tested.
@@ -22,7 +22,6 @@ pub mod engine;
 pub mod event;
 pub mod link;
 pub mod rng;
-pub mod stats;
 pub mod throttle;
 pub mod time;
 
@@ -30,6 +29,5 @@ pub use engine::{Ctx, Engine, World};
 pub use event::EventQueue;
 pub use link::{Completion, FairShareLink, FlowId};
 pub use rng::DetRng;
-pub use stats::Summary;
 pub use throttle::Throttle;
 pub use time::{SimDur, SimTime};

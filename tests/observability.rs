@@ -270,7 +270,7 @@ fn sim_events_reconcile_with_sim_report() {
         after_jobs: 5,
     }];
 
-    let (report, _trace, events) = cb_sim::simulate_observed(params).unwrap();
+    let (report, events) = cb_sim::simulate_observed(params).unwrap();
     assert!(!events.is_empty());
     obs::check_invariants(&events).unwrap();
     let summary = TraceSummary::from_events(&events);
