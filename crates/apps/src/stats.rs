@@ -92,6 +92,69 @@ mod tests {
     }
 
     #[test]
+    fn basic_moments() {
+        // Readings observed one at a time, as a worker folds a chunk's units.
+        let q = query();
+        let mut robj = StatsApp.init(&q);
+        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            StatsApp.local_reduce(&q, &mut robj, &x);
+        }
+        let (moments, hist, minmax) = robj;
+        assert_eq!(moments.count(), 8);
+        assert!((moments.mean() - 5.0).abs() < 1e-12);
+        assert!((moments.variance() - 32.0 / 7.0).abs() < 1e-9);
+        assert!((moments.mean() * moments.count() as f64 - 40.0).abs() < 1e-12);
+        assert_eq!(hist.count(), 8);
+        assert_eq!(minmax.min, Some(2_000));
+        assert_eq!(minmax.max, Some(9_000));
+    }
+
+    #[test]
+    fn empty_is_safe() {
+        let q = query();
+        for (moments, hist, minmax) in [StatsApp.init(&q), run_sequential(&StatsApp, &q, vec![])] {
+            assert_eq!(moments.count(), 0);
+            assert_eq!(moments.mean(), 0.0);
+            assert_eq!(moments.variance(), 0.0);
+            assert_eq!(hist.count(), 0);
+            assert_eq!((minmax.min, minmax.max), (None, None));
+        }
+    }
+
+    #[test]
+    fn merge_equals_sequential() {
+        // Negative readings land in the histogram's underflow.
+        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 3.0).collect();
+        let (m_all, b_all) = chunk(&xs);
+        let whole = run_sequential(&StatsApp, &query(), vec![(m_all, b_all)]);
+        let (m1, b1) = chunk(&xs[..33]);
+        let (m2, b2) = chunk(&xs[33..]);
+        let mut a = run_sequential(&StatsApp, &query(), vec![(m1, b1)]);
+        let b = run_sequential(&StatsApp, &query(), vec![(m2, b2)]);
+        a.merge(b);
+        assert_eq!(a.0.count(), whole.0.count());
+        assert!((a.0.mean() - whole.0.mean()).abs() < 1e-9);
+        assert!((a.0.variance() - whole.0.variance()).abs() < 1e-9);
+        assert!(whole.1.underflow() > 0);
+        assert_eq!(a.1, whole.1);
+        assert_eq!(a.2, whole.2);
+        assert_eq!(a.2.min, Some(-3_000));
+    }
+
+    #[test]
+    fn merge_with_empty_sides() {
+        let q = query();
+        let mut a = StatsApp.init(&q);
+        let mut b = StatsApp.init(&q);
+        StatsApp.local_reduce(&q, &mut b, &1.5);
+        a.merge(b.clone());
+        assert_eq!(a.0.count(), 1);
+        a.merge(StatsApp.init(&q));
+        assert_eq!(a.0.count(), 1);
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn one_pass_gets_all_three_statistics() {
         let vals = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let (meta, bytes) = chunk(&vals);

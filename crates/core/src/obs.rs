@@ -1424,7 +1424,7 @@ mod tests {
                 },
             ),
         ];
-        let mut tl = Timeline::from_events(&events);
+        let tl = Timeline::from_events(&events);
         assert_eq!(tl.spans.len(), 3);
         assert_eq!(tl.horizon_ns, 10_000_000_000);
         assert!((tl.utilization(0, 0) - 0.6).abs() < 1e-12);
@@ -1434,19 +1434,6 @@ mod tests {
         assert!(g.contains("c0/s0"));
         let row1 = g.lines().find(|l| l.starts_with("c1/s0")).unwrap();
         assert_eq!(row1.matches('█').count(), 20, "fully busy row");
-
-        tl.record(0, 1, SpanKind::Process, 0, 3_000_000_000);
-        tl.record(2, 0, SpanKind::RobjTransfer, 6_000_000_000, 10_000_000_000);
-        assert_eq!(tl.horizon_ns, 10_000_000_000);
-        assert!((tl.utilization(0, 1) - 0.3).abs() < 1e-12);
-        // Shipping the robj is not busy slave work.
-        assert_eq!(tl.utilization(2, 0), 0.0);
-        // A cluster's utilization is the mean over its slaves.
-        assert!((tl.cluster_utilization(0) - 0.45).abs() < 1e-12);
-
-        let empty = Timeline::default();
-        assert_eq!(empty.utilization(0, 0), 0.0);
-        assert_eq!(empty.cluster_utilization(0), 0.0);
     }
 
     #[test]

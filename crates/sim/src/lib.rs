@@ -13,6 +13,7 @@ pub mod calib;
 pub mod experiments;
 pub mod model;
 pub mod params;
+mod trace;
 
 pub use model::{simulate, simulate_observed};
 pub use params::{LinkSpec, PathSpec, SimCluster, SimParams};

@@ -1,198 +1,51 @@
-//! Execution traces: per-slave activity spans recorded by the simulator.
+//! Traces of simulated runs.
 //!
-//! A [`Trace`] is the microscope behind the aggregate [`RunReport`]: every
-//! fetch, every compute burst, and every reduction-object transfer as a
-//! `(start, end)` interval. It renders as a textual Gantt chart (one row
-//! per slave) and computes per-slave utilization — which is how the
-//! load-balancing claims of the paper can be *seen*, not just asserted.
-//!
-//! The chart uses the same glyph vocabulary as the live runtime's
-//! [`Timeline`](cloudburst_core::obs::Timeline) ([`GANTT_LEGEND`]), so a
-//! simulated Gantt and a real one from `run --trace-out` can be diffed
-//! side by side.
-//!
-//! [`RunReport`]: cloudburst_core::report::RunReport
-
-use cb_simnet::time::SimTime;
-use cloudburst_core::obs::GANTT_LEGEND;
-use std::fmt::Write as _;
-
-/// What a slave was doing during a span. Glyphs match
-/// [`cloudburst_core::obs::SpanKind`] one for one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// Retrieving a chunk (including request latency).
-    Fetch,
-    /// The compute unit sat waiting on an in-flight fetch (the un-hidden
-    /// part of retrieval; what `fetch_stall_s` aggregates).
-    Stall,
-    /// Local reduction over a chunk's units.
-    Process,
-    /// Shipping the cluster's reduction object to the head (attributed to
-    /// slave 0 of the cluster for display purposes).
-    RobjTransfer,
-}
-
-impl SpanKind {
-    fn glyph(self) -> char {
-        match self {
-            SpanKind::Fetch => '▒',
-            SpanKind::Stall => '░',
-            SpanKind::Process => '█',
-            SpanKind::RobjTransfer => '◆',
-        }
-    }
-}
-
-/// One activity interval of one slave.
-#[derive(Debug, Clone, Copy)]
-pub struct Span {
-    pub cluster: usize,
-    pub slave: usize,
-    pub kind: SpanKind,
-    pub start: SimTime,
-    pub end: SimTime,
-}
-
-/// A full run's spans plus its horizon.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    pub spans: Vec<Span>,
-    /// End of the run.
-    pub horizon: SimTime,
-}
-
-impl Trace {
-    /// Record a span (called by the simulator).
-    pub fn record(
-        &mut self,
-        cluster: usize,
-        slave: usize,
-        kind: SpanKind,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        debug_assert!(end >= start, "span ends before it starts");
-        self.spans.push(Span {
-            cluster,
-            slave,
-            kind,
-            start,
-            end,
-        });
-        self.horizon = self.horizon.max(end);
-    }
-
-    /// Busy fraction of one slave over the whole run (fetch + process;
-    /// stalls and robj transfers are waiting, not work).
-    pub fn utilization(&self, cluster: usize, slave: usize) -> f64 {
-        if self.horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .spans
-            .iter()
-            .filter(|s| {
-                s.cluster == cluster
-                    && s.slave == slave
-                    && matches!(s.kind, SpanKind::Fetch | SpanKind::Process)
-            })
-            .map(|s| s.end.saturating_since(s.start).as_secs_f64())
-            .sum();
-        busy / self.horizon.as_secs_f64()
-    }
-
-    /// Mean busy fraction across all slaves of `cluster`.
-    pub fn cluster_utilization(&self, cluster: usize) -> f64 {
-        let slaves: std::collections::BTreeSet<usize> = self
-            .spans
-            .iter()
-            .filter(|s| s.cluster == cluster)
-            .map(|s| s.slave)
-            .collect();
-        if slaves.is_empty() {
-            return 0.0;
-        }
-        slaves
-            .iter()
-            .map(|&s| self.utilization(cluster, s))
-            .sum::<f64>()
-            / slaves.len() as f64
-    }
-
-    /// Render a textual Gantt chart, one row per (cluster, slave), `width`
-    /// columns spanning the whole run. Later spans overwrite earlier ones
-    /// in a cell; the glyphs are the shared
-    /// [`GANTT_LEGEND`].
-    pub fn render_gantt(&self, width: usize) -> String {
-        assert!(width > 0);
-        let horizon = self.horizon.as_secs_f64().max(f64::MIN_POSITIVE);
-        let mut rows: std::collections::BTreeMap<(usize, usize), Vec<char>> =
-            std::collections::BTreeMap::new();
-        for s in &self.spans {
-            let row = rows
-                .entry((s.cluster, s.slave))
-                .or_insert_with(|| vec!['·'; width]);
-            let a = ((s.start.as_secs_f64() / horizon) * width as f64) as usize;
-            let b = ((s.end.as_secs_f64() / horizon) * width as f64).ceil() as usize;
-            for cell in row.iter_mut().take(b.min(width)).skip(a.min(width - 1)) {
-                *cell = s.kind.glyph();
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "gantt over {:.2}s  ({GANTT_LEGEND})",
-            self.horizon.as_secs_f64()
-        );
-        for ((c, s), row) in rows {
-            let _ = writeln!(
-                out,
-                "c{c}/s{s:<3} |{}|",
-                row.into_iter().collect::<String>()
-            );
-        }
-        out
-    }
-}
+//! A simulated run is traced through its event stream: `simulate_observed`
+//! returns the events, and [`Timeline::from_events`] turns them into
+//! per-slave spans on the simulator's virtual clock. These tests pin the
+//! utilization and Gantt conventions the simulated timelines rely on, with
+//! span bounds taken from [`SimTime`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use cb_simnet::time::SimTime;
+    use cloudburst_core::obs::{SpanKind, Timeline};
 
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs_f64(s)
+    fn t(s: f64) -> u64 {
+        SimTime::from_secs_f64(s).as_nanos()
     }
 
     #[test]
     fn utilization_counts_busy_time() {
-        let mut tr = Trace::default();
-        tr.record(0, 0, SpanKind::Fetch, t(0.0), t(2.0));
-        tr.record(0, 0, SpanKind::Process, t(2.0), t(6.0));
-        tr.record(0, 1, SpanKind::Process, t(0.0), t(3.0));
-        tr.record(1, 0, SpanKind::RobjTransfer, t(6.0), t(10.0));
-        assert_eq!(tr.horizon, t(10.0));
-        assert!((tr.utilization(0, 0) - 0.6).abs() < 1e-12);
-        assert!((tr.utilization(0, 1) - 0.3).abs() < 1e-12);
+        let mut tl = Timeline::default();
+        tl.record(0, 0, SpanKind::Fetch, t(0.0), t(2.0));
+        tl.record(0, 0, SpanKind::Process, t(2.0), t(6.0));
+        tl.record(0, 1, SpanKind::Process, t(0.0), t(3.0));
+        tl.record(1, 0, SpanKind::RobjTransfer, t(6.0), t(10.0));
+        assert_eq!(tl.horizon_ns, t(10.0));
+        assert!((tl.utilization(0, 0) - 0.6).abs() < 1e-12);
+        assert!((tl.utilization(0, 1) - 0.3).abs() < 1e-12);
         // Robj transfer is not "busy" slave work.
-        assert_eq!(tr.utilization(1, 0), 0.0);
-        assert!((tr.cluster_utilization(0) - 0.45).abs() < 1e-12);
+        assert_eq!(tl.utilization(1, 0), 0.0);
+        assert!((tl.cluster_utilization(0) - 0.45).abs() < 1e-12);
     }
 
     #[test]
     fn empty_trace_is_zero() {
-        let tr = Trace::default();
-        assert_eq!(tr.utilization(0, 0), 0.0);
-        assert_eq!(tr.cluster_utilization(0), 0.0);
+        for tl in [Timeline::default(), Timeline::from_events(&[])] {
+            assert_eq!(tl.horizon_ns, 0);
+            assert_eq!(tl.utilization(0, 0), 0.0);
+            assert_eq!(tl.cluster_utilization(0), 0.0);
+        }
     }
 
     #[test]
     fn gantt_renders_rows() {
-        let mut tr = Trace::default();
-        tr.record(0, 0, SpanKind::Fetch, t(0.0), t(5.0));
-        tr.record(0, 0, SpanKind::Process, t(5.0), t(10.0));
-        tr.record(1, 0, SpanKind::Process, t(0.0), t(10.0));
-        let g = tr.render_gantt(20);
+        let mut tl = Timeline::default();
+        tl.record(0, 0, SpanKind::Fetch, t(0.0), t(5.0));
+        tl.record(0, 0, SpanKind::Process, t(5.0), t(10.0));
+        tl.record(1, 0, SpanKind::Process, t(0.0), t(10.0));
+        let g = tl.render_gantt(20);
         assert!(g.contains("c0/s0"));
         assert!(g.contains("c1/s0"));
         let row0 = g.lines().find(|l| l.starts_with("c0/s0")).unwrap();
